@@ -1,16 +1,16 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one elimination engine.
 
-Determinants, linear solves, and matrix inverses run fraction-free: each
-row is scaled to integers by the lcm of its denominators, then Bareiss
+Every routine here runs the same fraction-free forward pass: each row is
+scaled to integers by the lcm of its denominators, then Bareiss
 cross-multiplication elimination keeps every intermediate entry an exact
-integer minor, with one exact integer division per update. This avoids the
-fraction-normalization churn of naive Gaussian elimination on large dense
-systems while staying exact.
+integer minor, with one exact integer division per update. A column with
+no pivot is skipped rather than ending the pass (the rectangular form of
+Nakos, Turner and Williams), so determinants, inverses, ranks and kernels
+all read their answer off the same integer echelon rows.
 
-Rank and kernel extraction use plain Fraction elimination with a fixed
-pivot rule (scan rows top down, columns left to right, take the first
-nonzero entry), so pivot columns and the kernel witness produced here are
-deterministic functions of the input matrix.
+The pivot rule is fixed: scan columns left to right and take the first
+row, top down, with a nonzero entry. Pivot columns and the kernel witness
+produced here are therefore deterministic functions of the input matrix.
 """
 
 from __future__ import annotations
@@ -33,35 +33,57 @@ def _scaled_int_rows(rows: Matrix) -> tuple[list[list[int]], list[int]]:
     return out, scales
 
 
-def _bareiss_forward(m: list[list[int]], ncols: int) -> int | None:
-    """Eliminate below the diagonal of the leading ``ncols`` columns in place.
+def _bareiss_forward(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Bring the leading ``ncols`` columns of ``m`` to echelon form in place.
 
     ``m`` may carry extra augmented columns on the right; they are updated
-    along with the rest of each row. Returns the sign accumulated from row
-    swaps, or None as soon as some pivot column is entirely zero (the
-    leading square block is singular).
+    along with the rest of each row. Row i of the result holds the i-th
+    pivot. Returns (pivot columns, sign accumulated from row swaps).
     """
     sign = 1
     prev = 1
     nrows = len(m)
+    pivots: list[int] = []
     for k in range(ncols):
-        piv = next((r for r in range(k, nrows) if m[r][k] != 0), None)
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][k] != 0), None)
         if piv is None:
-            return None
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        pivot = m[k][k]
-        row_k = m[k]
-        for r in range(k + 1, nrows):
-            row_r = m[r]
-            lead = row_r[k]
-            for c in range(k + 1, len(row_r)):
+        pivot = m[r][k]
+        row_p = m[r]
+        for i in range(r + 1, nrows):
+            row_i = m[i]
+            lead = row_i[k]
+            for c in range(k + 1, len(row_i)):
                 # Exact by Bareiss: prev divides the cross product.
-                row_r[c] = (row_r[c] * pivot - lead * row_k[c]) // prev
-            row_r[k] = 0
+                row_i[c] = (row_i[c] * pivot - lead * row_p[c]) // prev
+            row_i[k] = 0
         prev = pivot
-    return sign
+        pivots.append(k)
+    return pivots, sign
+
+
+def _back_substitute(
+    m: list[list[int]], pivots: list[int], x: list[Fraction], col: int | None = None
+) -> list[Fraction]:
+    """Solve the echelon rows left by the forward pass for the pivot unknowns.
+
+    The free unknowns keep the values given in ``x``. ``col`` selects the
+    augmented column that holds the right-hand side; None means zero.
+    """
+    for i in range(len(pivots) - 1, -1, -1):
+        p = pivots[i]
+        acc = Fraction(0 if col is None else m[i][col])
+        for j in range(p + 1, len(x)):
+            if x[j]:
+                acc -= m[i][j] * x[j]
+        x[p] = acc / m[i][p]
+    return x
 
 
 def det(rows: Matrix) -> Fraction:
@@ -72,39 +94,13 @@ def det(rows: Matrix) -> Fraction:
     if n == 0:
         return Fraction(1)
     m, scales = _scaled_int_rows(rows)
-    sign = _bareiss_forward(m, n)
-    if sign is None:
+    pivots, sign = _bareiss_forward(m, n)
+    if len(pivots) < n:
         return Fraction(0)
     denom = 1
     for s in scales:
         denom *= s
     return Fraction(sign * m[n - 1][n - 1], denom)
-
-
-def _back_substitute(m: list[list[int]], n: int, col: int) -> list[Fraction]:
-    """Solve the upper-triangular system left by the forward pass.
-
-    ``col`` selects which augmented column is the right-hand side.
-    """
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(m[i][col])
-        for j in range(i + 1, n):
-            acc -= m[i][j] * x[j]
-        x[i] = acc / m[i][i]
-    return x
-
-
-def solve(rows: Matrix, rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """Solve ``A x = b`` for square A. Returns None when A is singular."""
-    n = len(rows)
-    if len(rhs) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"solve needs square A and matching b, got {n} rows")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    m, _ = _scaled_int_rows(aug)
-    if _bareiss_forward(m, n) is None:
-        return None
-    return _back_substitute(m, n, n)
 
 
 def inverse(rows: Matrix) -> list[list[Fraction]] | None:
@@ -114,44 +110,15 @@ def inverse(rows: Matrix) -> list[list[Fraction]] | None:
         raise ValueError("inverse needs a square matrix")
     aug = [list(row) + [Fraction(1 if c == i else 0) for c in range(n)] for i, row in enumerate(rows)]
     m, _ = _scaled_int_rows(aug)
-    if _bareiss_forward(m, n) is None:
+    pivots, _ = _bareiss_forward(m, n)
+    if len(pivots) < n:
         return None
-    cols = [_back_substitute(m, n, n + c) for c in range(n)]
+    cols = [_back_substitute(m, pivots, [Fraction(0)] * n, n + c) for c in range(n)]
     return [[cols[c][r] for c in range(n)] for r in range(n)]
 
 
-def row_echelon(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Row echelon form over Fraction with deterministic pivoting.
-
-    Scans columns left to right and picks the first row (top down) with a
-    nonzero entry, so the returned pivot columns are a canonical feature of
-    the input. Returns (echelon rows, pivot column indices).
-    """
-    m = [[Fraction(c) for c in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][c]
-        for i in range(r + 1, nrows):
-            if m[i][c] != 0:
-                factor = m[i][c] / lead
-                for j in range(c, ncols):
-                    m[i][j] -= factor * m[r][j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 def rank(rows: Matrix) -> int:
-    return len(row_echelon(rows)[1])
+    return rank_and_kernel(rows)[0]
 
 
 def kernel_vector(rows: Matrix) -> list[Fraction] | None:
@@ -162,18 +129,17 @@ def kernel_vector(rows: Matrix) -> list[Fraction] | None:
     then forced. Two correct eliminations with the same pivot rule cannot
     disagree on this vector.
     """
+    return rank_and_kernel(rows)[1]
+
+
+def rank_and_kernel(rows: Matrix) -> tuple[int, list[Fraction] | None]:
+    """Rank and canonical kernel vector (see ``kernel_vector``) from one pass."""
     ncols = len(rows[0]) if rows else 0
-    ech, pivots = row_echelon(rows)
+    m, _ = _scaled_int_rows(rows)
+    pivots, _ = _bareiss_forward(m, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
-        return None
+        return len(pivots), None
     vec = [Fraction(0)] * ncols
     vec[free[0]] = Fraction(1)
-    for r in range(len(pivots) - 1, -1, -1):
-        p = pivots[r]
-        acc = Fraction(0)
-        for c in range(p + 1, ncols):
-            if vec[c]:
-                acc += ech[r][c] * vec[c]
-        vec[p] = -acc / ech[r][p]
-    return vec
+    return len(pivots), _back_substitute(m, pivots, vec)

@@ -29,16 +29,15 @@ are first-nonzero-by-index.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from . import elim
-from .autos import catalog_operator, conj_op, cyclic_op, cyclic_sq_op, rot_i_op, rot_j_op, rot_k_op
+from . import elim, linop
+from .autos import catalog_operator, conj_op, cyclic_op, cyclic_sq_op, rot_i_op, rot_j_op
 from .linop import IDENTITY, Operator4, left_mul_op, right_mul_op
-from .scalarq import BASIS, Quaternion, parse_rational
+from .scalarq import BASIS, Quaternion
 
 
 class Side(Enum):
@@ -188,12 +187,10 @@ def family_rank(terms: Sequence[FrameTerm]) -> RankReport:
         raise ValueError("family_rank needs at least one term")
     matrix = _columns_to_matrix(_family_columns(terms))
     unknowns = 4 * len(terms)
-    r = elim.rank(matrix)
+    r, vec = elim.rank_and_kernel(matrix)
     nullity = unknowns - r
     witness: tuple[Quaternion, ...] | None = None
-    if nullity > 0:
-        vec = elim.kernel_vector(matrix)
-        assert vec is not None
+    if vec is not None:
         witness = tuple(Quaternion(*vec[4 * t : 4 * t + 4]) for t in range(len(terms)))
         total = Operator4.zero()
         for coeff, term in zip(witness, terms):
@@ -214,9 +211,7 @@ def builtin_frame(name: str) -> Frame:
     always invertible (it realizes the standard tensor-product basis).
 
     AUTO: identity and three rotation automorphisms (A1, A2, A3), left
-    coefficients. Its determinant is computed, not assumed: if the default
-    selection ever came out singular, the last term would be replaced with
-    the quarter turn about k and re-verified.
+    coefficients.
 
     SINGULAR_ATTEMPT: identity, A1, A1 squared, conjugation, left
     coefficients. Deliberately kept although (and because) it is singular.
@@ -228,14 +223,10 @@ def builtin_frame(name: str) -> Frame:
         terms = tuple(FrameTerm(right_mul_op(e), Side.LEFT) for e in BASIS)
         return Frame(terms, "RIGHT_UNITS")  # type: ignore[arg-type]
     if name == "AUTO":
-        for last in (rot_j_op(), rot_k_op()):
-            terms = tuple(
-                FrameTerm(op, Side.LEFT) for op in (IDENTITY, cyclic_op(), rot_i_op(), last)
-            )
-            frame = Frame(terms, "AUTO")  # type: ignore[arg-type]
-            if frame_determinant(frame) != 0:
-                return frame
-        raise RuntimeError("no invertible automorphism frame found")
+        terms = tuple(
+            FrameTerm(op, Side.LEFT) for op in (IDENTITY, cyclic_op(), rot_i_op(), rot_j_op())
+        )
+        return Frame(terms, "AUTO")  # type: ignore[arg-type]
     if name == "SINGULAR_ATTEMPT":
         terms = tuple(
             FrameTerm(op, Side.LEFT)
@@ -273,31 +264,6 @@ def _split_spec(text: str) -> list[str]:
     return tokens
 
 
-def _parse_inline_matrix(text: str) -> Operator4:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FrameSpecError(f"inline matrix is not valid JSON: {exc}") from None
-    if not isinstance(data, list) or len(data) != 4 or not all(
-        isinstance(row, list) and len(row) == 4 for row in data
-    ):
-        raise FrameSpecError("inline matrix must be a 4x4 JSON array")
-    rows = []
-    for row in data:
-        parsed = []
-        for entry in row:
-            if isinstance(entry, bool) or isinstance(entry, float):
-                raise FrameSpecError(f"inline matrix entries must be integers or 'p/q' strings, got {entry!r}")
-            if isinstance(entry, int):
-                parsed.append(Fraction(entry))
-            elif isinstance(entry, str):
-                parsed.append(parse_rational(entry))
-            else:
-                raise FrameSpecError(f"inline matrix entries must be integers or 'p/q' strings, got {entry!r}")
-        rows.append(tuple(parsed))
-    return Operator4(tuple(rows))  # type: ignore[arg-type]
-
-
 def _parse_term(token: str) -> FrameTerm:
     side_text, sep, rest = token.partition(":")
     if not sep or side_text not in ("L", "R"):
@@ -306,7 +272,10 @@ def _parse_term(token: str) -> FrameTerm:
     if not rest:
         raise FrameSpecError(f"term {token!r} is missing an operator")
     if rest.startswith("["):
-        return FrameTerm(_parse_inline_matrix(rest), side)
+        try:
+            return FrameTerm(linop.operator_from_json(linop.decode_json(rest)), side)
+        except linop.MatrixFormatError as exc:
+            raise FrameSpecError(f"inline matrix: {exc}") from None
     try:
         return FrameTerm(catalog_operator(rest), side)
     except ValueError as exc:

@@ -16,12 +16,13 @@ any left operator commutes with any right operator.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import elim
-from .scalarq import BASIS, Quaternion, _coerce, format_rational
+from .scalarq import BASIS, Quaternion, RationalFormatError, _coerce, format_rational, parse_rational
 
 Row = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -131,6 +132,46 @@ class Operator4:
     def __str__(self) -> str:
         body = "; ".join(" ".join(format_rational(c) for c in row) for row in self.rows)
         return f"[{body}]"
+
+
+class MatrixFormatError(ValueError):
+    """JSON text or a decoded JSON value that is not a 4x4 rational matrix."""
+
+
+def decode_json(text: str) -> object:
+    """Decode JSON text; integers obey the same digit cap as rational strings.
+
+    Raises:
+        MatrixFormatError: invalid or too deeply nested JSON, or an integer over the cap.
+    """
+    try:
+        return json.loads(text, parse_int=lambda digits: parse_rational(digits).numerator)
+    except RationalFormatError as exc:
+        raise MatrixFormatError(str(exc)) from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MatrixFormatError(f"not valid JSON: {exc}") from None
+
+
+def operator_from_json(value: object) -> Operator4:
+    """Build an operator from a decoded JSON array of 4 rows of 4 entries.
+
+    Entries are integers or ``p/q`` strings; floats and booleans are refused.
+
+    Raises:
+        MatrixFormatError: wrong shape, wrong entry type, or a bad rational.
+    """
+    if not isinstance(value, list) or len(value) != 4 or not all(
+        isinstance(row, list) and len(row) == 4 for row in value
+    ):
+        raise MatrixFormatError("matrix must be a 4x4 array")
+    for row in value:
+        for entry in row:
+            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
+                raise MatrixFormatError(f"matrix entries must be 'p/q' strings or integers, got {entry!r}")
+    try:
+        return Operator4(tuple(tuple(row) for row in value))  # type: ignore[arg-type]
+    except RationalFormatError as exc:
+        raise MatrixFormatError(str(exc)) from None
 
 
 def left_mul_op(a: Quaternion) -> Operator4:

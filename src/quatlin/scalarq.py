@@ -23,6 +23,11 @@ Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
+# Longest numerator or denominator accepted, in digits: CPython's default
+# int_max_str_digits, so every literal that int() converts out of the box is
+# read, and a longer one gets an error that names this cap.
+MAX_LITERAL_DIGITS = 4300
+
 _UNIT_SYMBOLS = ("", "i", "j", "k")
 
 
@@ -39,14 +44,17 @@ def parse_rational(text: str) -> Fraction:
 
     The optional sign sits on the numerator and the denominator must be a
     positive integer. Non-canonical input such as ``2/4`` is accepted and
-    normalizes to 1/2. No whitespace, decimals, or exponents.
+    normalizes to 1/2. No whitespace, decimals, or exponents, and at most
+    ``MAX_LITERAL_DIGITS`` digits in the numerator and in the denominator.
 
     Raises:
-        RationalFormatError: malformed text or a zero denominator.
+        RationalFormatError: malformed or over-long text, or a zero denominator.
     """
     if not isinstance(text, str) or _RATIONAL_RE.fullmatch(text) is None:
         raise RationalFormatError(f"not a rational literal: {text!r}")
     num, sep, den = text.partition("/")
+    if max(len(num.lstrip("+-")), len(den)) > MAX_LITERAL_DIGITS:
+        raise RationalFormatError(f"rational literal over the cap of {MAX_LITERAL_DIGITS} digits")
     if sep and int(den) == 0:
         raise RationalFormatError(f"zero denominator: {text!r}")
     return Fraction(int(num), int(den)) if sep else Fraction(int(num))

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from quatlin import cli
+from quatlin.scalarq import MAX_LITERAL_DIGITS
 
 from golden_cases import CASES, FIXTURES_DIR, MODES, argv_for, golden_path
 
@@ -128,6 +129,39 @@ class TestInputErrors:
         code, _, err = run_cli(["demo", "--a", "1,2,3"], "json", capsys, monkeypatch)
         assert code == 2
         assert "--a" in err
+
+    @pytest.mark.parametrize(
+        "argv,payload",
+        [
+            pytest.param(["rank", "--spec", 'L:[["1/0",0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]'], None,
+                         id="inline-zero-denominator"),
+            pytest.param(["rank", "--spec", 'L:[["x",0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]'], None,
+                         id="inline-bad-rational"),
+            pytest.param(["check"], b'{"matrix": [["' + b"7" * 5000 + b'", 0, 0, 0], [0, 1, 0, 0], '
+                         b'[0, 0, 1, 0], [0, 0, 0, 1]]}', id="huge-literal"),
+            pytest.param(["check"], b'{"matrix": [[' + b"7" * 5000 + b', 0, 0, 0], [0, 1, 0, 0], '
+                         b'[0, 0, 1, 0], [0, 0, 0, 1]]}', id="huge-integer"),
+            pytest.param(["check"], b'{"matrix": ' + b"[" * 100000 + b"]" * 100000 + b"}", id="deep-nesting"),
+            pytest.param(["check"], b'{"label": "\xff\xfe", "matrix": []}', id="non-utf8"),
+        ],
+    )
+    def test_hostile_input(self, argv, payload, tmp_path, capsys, monkeypatch):
+        if payload is not None:
+            doc = tmp_path / "doc.json"
+            doc.write_bytes(payload)
+            argv = argv + [str(doc)]
+        code, out, err = run_cli(argv, "json", capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("quatlin: ") and err.endswith("\n") and err.count("\n") == 1
+
+    def test_literals_at_digit_cap_are_read(self, tmp_path, capsys, monkeypatch):
+        big = "7" * MAX_LITERAL_DIGITS
+        doc = tmp_path / "doc.json"
+        doc.write_text(f'{{"matrix": [["{big}", 0, 0, 0], [0, {big}, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}}')
+        code, out, err = run_cli(["check", str(doc)], "json", capsys, monkeypatch)
+        assert code == 0, err
+        assert out
 
     def test_unknown_command_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("QUATLIN_OUTPUT", "json")

@@ -1,8 +1,10 @@
-"""Exact elimination engine, cross-checked against a naive reference solver.
+"""Exact elimination engine, cross-checked against naive reference solvers.
 
 The reference implementations below do plain Fraction Gaussian elimination
 with immediate division, a deliberately different code path from the
-fraction-free routines under test.
+fraction-free engine under test. They share its pivot rule (columns left
+to right, first nonzero row top down), so pivot columns and canonical
+kernel witnesses must agree exactly.
 """
 
 from __future__ import annotations
@@ -57,6 +59,53 @@ def naive_solve(rows, rhs):
     return [m[r][n] for r in range(n)]
 
 
+def naive_row_echelon(rows):
+    """Fraction row echelon form: (echelon rows, pivot column indices)."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        lead = m[r][c]
+        for i in range(r + 1, nrows):
+            if m[i][c] != 0:
+                factor = m[i][c] / lead
+                for j in range(c, ncols):
+                    m[i][j] -= factor * m[r][j]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def naive_kernel_vector(rows):
+    """Canonical kernel vector (first free column 1, other free columns 0)."""
+    ncols = len(rows[0]) if rows else 0
+    ech, pivots = naive_row_echelon(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return None
+    vec = [Fraction(0)] * ncols
+    vec[free[0]] = Fraction(1)
+    for r in range(len(pivots) - 1, -1, -1):
+        p = pivots[r]
+        acc = sum((ech[r][c] * vec[c] for c in range(p + 1, ncols)), Fraction(0))
+        vec[p] = -acc / ech[r][p]
+    return vec
+
+
+def engine_pivots(rows):
+    """Pivot columns chosen by the engine's forward pass."""
+    m, _ = elim._scaled_int_rows(rows)
+    return elim._bareiss_forward(m, len(rows[0]) if rows else 0)[0]
+
+
 fraction_entries = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
 
@@ -64,6 +113,32 @@ def square_matrices(n):
     return st.lists(
         st.lists(fraction_entries, min_size=n, max_size=n), min_size=n, max_size=n
     )
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Products of a rows x k and a k x cols factor: rank at most k, often wide."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 9))
+    k = draw(st.integers(0, min(nrows, ncols)))
+    left = draw(st.lists(st.lists(fraction_entries, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(fraction_entries, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    rows = [
+        [sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0)) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+    # Zero some columns outright so pivot-less columns also sit in front.
+    dead = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols // 2))
+    return [[Fraction(0) if j in dead else c for j, c in enumerate(row)] for row in rows]
+
+
+any_matrices = st.integers(1, 6).flatmap(
+    lambda nrows: st.integers(1, 9).flatmap(
+        lambda ncols: st.lists(
+            st.lists(fraction_entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+        )
+    )
+)
 
 
 class TestDet:
@@ -96,22 +171,38 @@ class TestDet:
         assert elim.det([[0, 1], [1, 0]]) == -1
 
 
+def solve_by_inverse(rows, rhs):
+    inv = elim.inverse(rows)
+    if inv is None:
+        return None
+    return [sum((inv[r][c] * rhs[c] for c in range(len(rhs))), Fraction(0)) for r in range(len(rows))]
+
+
 class TestSolve:
+    """Linear solves, done as products with the exact inverse."""
+
     def test_known_system(self):
-        x = elim.solve([[2, 1], [1, 3]], [Fraction(5), Fraction(10)])
+        x = solve_by_inverse([[2, 1], [1, 3]], [Fraction(5), Fraction(10)])
         assert x == [Fraction(1), Fraction(3)]
 
     def test_singular_returns_none(self):
-        assert elim.solve([[1, 1], [2, 2]], [Fraction(1), Fraction(2)]) is None
+        assert solve_by_inverse([[1, 1], [2, 2]], [Fraction(1), Fraction(2)]) is None
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            elim.solve([[1, 2]], [Fraction(1), Fraction(2)])
+            elim.inverse([[1, 2]])
 
     @settings(deadline=None, max_examples=60)
-    @given(square_matrices(4), st.lists(fraction_entries, min_size=4, max_size=4))
-    def test_matches_naive(self, rows, rhs):
-        assert elim.solve(rows, rhs) == naive_solve(rows, rhs)
+    @given(square_matrices(4))
+    def test_matches_naive(self, rows):
+        # column c of the inverse solves A x = e_c
+        inv = elim.inverse(rows)
+        for c in range(4):
+            unit = [Fraction(int(r == c)) for r in range(4)]
+            expected = naive_solve(rows, unit)
+            assert (inv is None) == (expected is None)
+            if inv is not None:
+                assert [inv[r][c] for r in range(4)] == expected
 
     def test_seeded_round_trip(self):
         rng = random.Random(7)
@@ -120,9 +211,9 @@ class TestSolve:
             x = [rand_fraction(rng, 30, 10) for _ in range(4)]
             rhs = [sum(rows[r][c] * x[c] for c in range(4)) for r in range(4)]
             if naive_det(rows) == 0:
-                assert elim.solve(rows, rhs) in (None, x)
+                assert solve_by_inverse(rows, rhs) is None
             else:
-                assert elim.solve(rows, rhs) == x
+                assert solve_by_inverse(rows, rhs) == x
 
 
 class TestInverse:
@@ -175,7 +266,7 @@ class TestRankAndKernel:
 
     def test_pivot_columns_deterministic(self):
         rows = [[0, 1, 2], [0, 2, 4], [1, 0, 0]]
-        ech, pivots = elim.row_echelon(rows)
+        pivots = engine_pivots(rows)
         assert pivots == [0, 1]
 
     def test_seeded_kernel_annihilates(self):
@@ -195,3 +286,12 @@ class TestRankAndKernel:
             rows = [[rand_fraction(rng, 10, 6) for _ in range(4)] for _ in range(4)]
             full = elim.rank(rows) == 4
             assert full == (naive_det(rows) != 0)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(low_rank_matrices(), any_matrices))
+    def test_matches_naive_row_echelon(self, rows):
+        _, pivots = naive_row_echelon(rows)
+        assert engine_pivots(rows) == pivots
+        assert elim.rank(rows) == len(pivots)
+        assert elim.kernel_vector(rows) == naive_kernel_vector(rows)
+        assert elim.rank_and_kernel(rows) == (len(pivots), naive_kernel_vector(rows))

@@ -308,6 +308,11 @@ class TestFrameSpecs:
             "L:[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]",
             "L:[1,0,0,0]]",
             "L:[not json]",
+            'L:[["1/0",0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]',
+            'L:[["x",0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]',
+            pytest.param('L:[["' + "7" * 5000 + '",0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]', id="huge-literal"),
+            pytest.param("L:[[" + "7" * 5000 + ",0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]", id="huge-integer"),
+            pytest.param("L:" + "[" * 100000 + "]" * 100000, id="deep-nesting"),
         ],
     )
     def test_bad_inline_matrices(self, spec):

@@ -37,6 +37,8 @@ class TestParseRational:
             ("2/4", Fraction(1, 2)),
             ("100/100", Fraction(1)),
             ("-0", Fraction(0)),
+            pytest.param("-" + "9" * 4300, Fraction(1 - 10**4300), id="digit-cap"),
+            pytest.param("1/" + "9" * 4300, Fraction(1, 10**4300 - 1), id="digit-cap-denominator"),
         ],
     )
     def test_accepts(self, text, expected):
@@ -44,7 +46,12 @@ class TestParseRational:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "1.5", "1/0", "0/0", "1 / 2", "a", "1/-2", "--1", "1/2/3", "1e3", "½", "+"],
+        [
+            "", "1.5", "1/0", "0/0", "1 / 2", "a", "1/-2", "--1", "1/2/3", "1e3", "½", "+",
+            pytest.param("-" + "9" * 4301, id="over-digit-cap"),
+            pytest.param("1/" + "9" * 4301, id="over-digit-cap-denominator"),
+            pytest.param("7" * 5000, id="over-int-str-limit"),
+        ],
     )
     def test_rejects(self, text):
         with pytest.raises(RationalFormatError):

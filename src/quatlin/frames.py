@@ -29,9 +29,11 @@ are first-nonzero-by-index.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from . import elim, linop
@@ -63,12 +65,20 @@ class Frame:
 
     terms: tuple[FrameTerm, FrameTerm, FrameTerm, FrameTerm]
     name: str = "custom"
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         terms = tuple(self.terms)
         if len(terms) != 4 or not all(isinstance(t, FrameTerm) for t in terms):
             raise ValueError("a frame needs exactly 4 FrameTerm entries")
         object.__setattr__(self, "terms", terms)
+        # Hashed once here: the per-frame cache looks the frame up on every
+        # expand and reconstruct, and rehashing its 64 Fractions there would
+        # be a large share of each call.
+        object.__setattr__(self, "_hash", hash((terms, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,75 +114,131 @@ class SingularFrameError(Exception):
         self.report = report
 
 
-def _term_operator(term: FrameTerm, coeff: Quaternion) -> Operator4:
-    mul = left_mul_op(coeff) if term.side is Side.LEFT else right_mul_op(coeff)
-    return mul @ term.base
+def _signed_permutation(op: Operator4) -> tuple[tuple[int, int], ...]:
+    # Each row of a unit multiplication matrix holds one entry, +1 or -1:
+    # returns (its column, its sign) per row.
+    return tuple(next((c, int(x)) for c, x in enumerate(row) if x) for row in op.rows)
 
 
-def _family_columns(terms: Sequence[FrameTerm]) -> list[tuple[Fraction, ...]]:
+# Row r of L(e_s) @ B (R(e_s) @ B for a right term) is sign * row p of B,
+# with (p, sign) = _UNIT_MULS[side][s][r].
+_UNIT_MULS = {
+    Side.LEFT: tuple(_signed_permutation(left_mul_op(e)) for e in BASIS),
+    Side.RIGHT: tuple(_signed_permutation(right_mul_op(e)) for e in BASIS),
+}
+
+
+def _family_matrix(terms: Sequence[FrameTerm]) -> list[list[Fraction]]:
     # Column 4t + s is the flattened operator contributed by coordinate s
-    # of coefficient t.
-    cols: list[tuple[Fraction, ...]] = []
-    for term in terms:
-        for s in range(4):
-            cols.append(_term_operator(term, BASIS[s]).flatten())
-    return cols
-
-
-def _columns_to_matrix(cols: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    return [[col[r] for col in cols] for r in range(16)]
+    # of coefficient t; row 4r + c is entry (r, c) of each such operator.
+    matrix: list[list[Fraction]] = []
+    for r in range(4):
+        for c in range(4):
+            row: list[Fraction] = []
+            for term in terms:
+                base = term.base.rows
+                for perm in _UNIT_MULS[term.side]:
+                    p, sign = perm[r]
+                    row.append(base[p][c] if sign > 0 else -base[p][c])
+            matrix.append(row)
+    return matrix
 
 
 def frame_matrix(frame: Frame) -> list[list[Fraction]]:
     """The 16x16 system matrix whose solution vector holds the coefficients."""
-    return _columns_to_matrix(_family_columns(frame.terms))
+    return _family_matrix(frame.terms)
 
 
 def frame_determinant(frame: Frame) -> Fraction:
     return elim.det(frame_matrix(frame))
 
 
+def _numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, n) with values[i] == n[i] / d, d the least common denominator."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+@dataclass(frozen=True, slots=True)
+class _IntMatrix:
+    """A rational matrix as one positive denominator over sparse integer rows.
+
+    Row r holds the numerators ``nums[r]`` in the columns ``cols[r]``;
+    every other entry is zero.
+    """
+
+    den: int
+    cols: tuple[tuple[int, ...], ...]
+    nums: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, rows: Sequence[Sequence[Fraction]]) -> _IntMatrix:
+        den = lcm(*(x.denominator for row in rows for x in row))
+        return cls(
+            den,
+            tuple(tuple(c for c, x in enumerate(row) if x) for row in rows),
+            tuple(tuple(x.numerator * (den // x.denominator) for x in row if x) for row in rows),
+        )
+
+    def times(self, vec: Sequence[int]) -> list[int]:
+        """Numerators of the product with vec; its denominator is ``den``."""
+        get = vec.__getitem__
+        return [sum(map(mul, nums, map(get, cols))) for cols, nums in zip(self.cols, self.nums)]
+
+
 @functools.lru_cache(maxsize=64)
-def _frame_inverse(frame: Frame) -> tuple[tuple[Fraction, ...], ...] | None:
-    inv = elim.inverse(frame_matrix(frame))
+def _frame_inverse(frame: Frame) -> tuple[_IntMatrix, _IntMatrix] | RankReport:
+    """The frame matrix and its inverse in integer form, computed once per frame.
+
+    A singular frame keeps only the RankReport its SingularFrameError carries.
+    """
+    matrix = frame_matrix(frame)
+    inv = elim.inverse(matrix)
     if inv is None:
-        return None
-    return tuple(tuple(row) for row in inv)
+        return family_rank(frame.terms)
+    return _IntMatrix.of(matrix), _IntMatrix.of(inv)
 
 
 def expand(f: Operator4, frame: Frame) -> Expansion:
     """Decompose f in the frame; the expansion is unique when it exists.
 
-    The frame's inverted system matrix is cached per frame, so repeated
-    expansions cost one 16x16 matrix-vector product each.
+    Each frame's system matrix M and its inverse are cached once, each as
+    one denominator over sparse integer rows. An expansion scales the 16
+    entries of f to their common denominator, takes one integer product
+    with the inverse, and checks the result exactly, as the integer product
+    with M, before returning it.
 
     Raises:
         SingularFrameError: the frame matrix is not invertible; the error
             carries the frame's RankReport with a kernel witness.
+        RuntimeError: the coefficients do not reproduce f exactly.
     """
-    inv = _frame_inverse(frame)
-    if inv is None:
-        raise SingularFrameError(frame, family_rank(frame.terms))
-    b = f.flatten()
-    coeffs = []
-    for t in range(4):
-        comps = [
-            sum((inv[4 * t + s][c] * b[c] for c in range(16)), Fraction(0))
-            for s in range(4)
-        ]
-        coeffs.append(Quaternion(*comps))
-    result = Expansion(tuple(coeffs), frame)  # type: ignore[arg-type]
-    if reconstruct(result) != f:
+    entry = _frame_inverse(frame)
+    if isinstance(entry, RankReport):
+        raise SingularFrameError(frame, entry)
+    matrix, inv = entry
+    db, b = _numerators(f.flatten())
+    a = inv.times(b)  # the coefficients are a / (inv.den * db)
+    # M (a / (inv.den db)) == b / db, with the denominators cleared.
+    scale = matrix.den * inv.den
+    if matrix.times(a) != [scale * x for x in b]:
         raise RuntimeError("exact expansion failed to reconstruct its input")
-    return result
+    den = inv.den * db
+    coeffs = tuple(Quaternion(*(Fraction(x, den) for x in a[4 * t : 4 * t + 4])) for t in range(4))
+    return Expansion(coeffs, frame)  # type: ignore[arg-type]
 
 
 def reconstruct(e: Expansion) -> Operator4:
-    """Sum the terms back into a single operator."""
-    total = Operator4.zero()
-    for coeff, term in zip(e.coefficients, e.frame.terms):
-        total = total + _term_operator(term, coeff)
-    return total
+    """Sum the terms back into a single operator: one product with the frame matrix."""
+    entry = _frame_inverse(e.frame)
+    # A singular frame's cache entry holds no matrix, so build it here.
+    matrix = _IntMatrix.of(frame_matrix(e.frame)) if isinstance(entry, RankReport) else entry[0]
+    da, a = _numerators([x for q in e.coefficients for x in q.coords()])
+    flat = matrix.times(a)
+    den = matrix.den * da
+    return Operator4(tuple(
+        tuple(Fraction(x, den) for x in flat[4 * r : 4 * r + 4]) for r in range(4)
+    ))  # type: ignore[arg-type]
 
 
 def family_rank(terms: Sequence[FrameTerm]) -> RankReport:
@@ -185,19 +251,15 @@ def family_rank(terms: Sequence[FrameTerm]) -> RankReport:
     terms = list(terms)
     if not terms:
         raise ValueError("family_rank needs at least one term")
-    matrix = _columns_to_matrix(_family_columns(terms))
+    matrix = _family_matrix(terms)
     unknowns = 4 * len(terms)
     r, vec = elim.rank_and_kernel(matrix)
-    nullity = unknowns - r
     witness: tuple[Quaternion, ...] | None = None
     if vec is not None:
-        witness = tuple(Quaternion(*vec[4 * t : 4 * t + 4]) for t in range(len(terms)))
-        total = Operator4.zero()
-        for coeff, term in zip(witness, terms):
-            total = total + _term_operator(term, coeff)
-        if total != Operator4.zero():
+        if any(sum(x * w for x, w in zip(row, vec) if w) for row in matrix):
             raise RuntimeError("kernel witness does not annihilate the family")
-    return RankReport(rank=r, nullity=nullity, unknowns=unknowns, defect_witness=witness)
+        witness = tuple(Quaternion(*vec[4 * t : 4 * t + 4]) for t in range(len(terms)))
+    return RankReport(rank=r, nullity=unknowns - r, unknowns=unknowns, defect_witness=witness)
 
 
 BUILTIN_FRAME_NAMES = ("RIGHT_UNITS", "AUTO", "SINGULAR_ATTEMPT")

@@ -211,6 +211,19 @@ class TestDocumentHandling:
         assert json.loads(out)["classification"] == "linear-automorphism"
 
 
+def test_demo_zero_quaternion_expands_to_zero(capsys, monkeypatch):
+    # a = 0 makes every case the zero operator, whose unique expansion is zero.
+    code, out, err = run_cli(["demo", "--a", "0,0,0,0"], "json", capsys, monkeypatch)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["a"] == ["0", "0", "0", "0"]
+    expansions = [exp for case in doc["cases"] for exp in case["expansions"]]
+    assert len(expansions) == 6
+    for exp in expansions:
+        assert exp["coefficients"] == [["0", "0", "0", "0"]] * 4
+        assert exp["vanishing_terms"] == [0, 1, 2, 3]
+
+
 def test_module_entry_point():
     env = dict(os.environ)
     env.pop("QUATLIN_OUTPUT", None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -9,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatlin import frames, linop
 from quatlin import (
     BASIS,
+    CATALOG_NAMES,
+    Expansion,
     BUILTIN_FRAME_NAMES,
     I,
     IDENTITY,
@@ -325,3 +330,154 @@ class TestFrameSpecs:
         exp = expand(f, frame)
         assert reconstruct(exp) == f
         assert exp.coefficients[1] == quat(1, 0, 0, 0)
+
+
+# Fraction oracle for the integer frame core: the system built by composing
+# each term's multiplication operator with its base (the definition of the
+# expansion), solved by Gauss-Jordan elimination over Fractions.
+
+
+def _term_mul(term: FrameTerm):
+    return left_mul_op if term.side is Side.LEFT else right_mul_op
+
+
+def oracle_system(frame: Frame) -> list[list[Fraction]]:
+    cols = [(_term_mul(term)(e) @ term.base).flatten() for term in frame.terms for e in BASIS]
+    return [[col[r] for col in cols] for r in range(16)]
+
+
+def oracle_solve(matrix, b) -> list[Fraction] | None:
+    n = len(matrix)
+    m = [list(row) + [b[r]] for r, row in enumerate(matrix)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                lead = m[i][k]
+                m[i] = [x - lead * y for x, y in zip(m[i], m[k])]
+    return [m[i][n] for i in range(n)]
+
+
+def oracle_reconstruct(coeffs, frame: Frame) -> Operator4:
+    total = Operator4.zero()
+    for coeff, term in zip(coeffs, frame.terms):
+        total = total + _term_mul(term)(coeff) @ term.base
+    return total
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+matrices = st.lists(small_rationals, min_size=16, max_size=16).map(
+    lambda xs: tuple(tuple(xs[4 * r : 4 * r + 4]) for r in range(4))
+)
+
+
+def _inline_frame(sides_and_mats) -> Frame:
+    return parse_frame_spec(" ".join(
+        f"{side}:{json.dumps([[str(x) for x in row] for row in mat])}" for side, mat in sides_and_mats
+    ))
+
+
+inline_frames = st.lists(
+    st.tuples(st.sampled_from("LR"), matrices), min_size=4, max_size=4
+).map(_inline_frame)
+catalog_frames = st.one_of(
+    st.sampled_from(("RIGHT_UNITS", "AUTO")).map(builtin_frame),
+    st.lists(
+        st.tuples(st.sampled_from("LR"), st.sampled_from(CATALOG_NAMES)), min_size=4, max_size=4
+    ).map(lambda terms: parse_frame_spec(" ".join(f"{side}:{name}" for side, name in terms))),
+)
+sparse_operators = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), small_rationals, max_size=3
+).map(lambda d: Operator4(tuple(tuple(d.get((r, c), 0) for c in range(4)) for r in range(4))))  # type: ignore[arg-type]
+operators = st.one_of(
+    matrices.map(Operator4),
+    sparse_operators,
+    st.tuples(st.sampled_from((left_mul_op, right_mul_op)), quaternions).map(lambda p: p[0](p[1])),
+)
+
+
+class TestIntegerCore:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(inline_frames, catalog_frames), operators)
+    def test_expand_matches_fraction_oracle(self, frame, f):
+        solution = oracle_solve(oracle_system(frame), f.flatten())
+        if solution is None:
+            with pytest.raises(SingularFrameError) as exc:
+                expand(f, frame)
+            assert exc.value.report == family_rank(frame.terms)
+            assert exc.value.report.rank < 16
+            return
+        exp = expand(f, frame)
+        assert exp.coefficients == tuple(Quaternion(*solution[4 * t : 4 * t + 4]) for t in range(4))
+        assert reconstruct(exp) == f == oracle_reconstruct(exp.coefficients, frame)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(inline_frames, catalog_frames), st.lists(quaternions, min_size=4, max_size=4))
+    def test_reconstruct_matches_fraction_oracle(self, frame, coeffs):
+        # Singular frames included: reconstruct is defined for any frame.
+        assert reconstruct(Expansion(tuple(coeffs), frame)) == oracle_reconstruct(coeffs, frame)
+
+    @pytest.mark.parametrize("name", ["RIGHT_UNITS", "AUTO"])
+    def test_corrupted_inverse_entry_is_caught(self, name, monkeypatch):
+        frame = builtin_frame(name)
+        matrix, inv = frames._frame_inverse(frame)
+        nums = [list(row) for row in inv.nums]
+        nums[5][0] += 1
+        corrupted = dataclasses.replace(inv, nums=tuple(tuple(row) for row in nums))
+        monkeypatch.setattr(frames, "_frame_inverse", lambda fr: (matrix, corrupted))
+        # No zero entry, so the changed inverse entry changes the coefficients.
+        f = Operator4(tuple(tuple(4 * r + c + 1 for c in range(4)) for r in range(4)))  # type: ignore[arg-type]
+        with pytest.raises(RuntimeError):
+            expand(f, frame)
+
+    def test_equal_frames_share_one_cache_entry(self):
+        def build() -> Frame:
+            # Fresh operators from text, so the two frames share no object.
+            terms = parse_frame_terms("L:id L:A1 L:A2 L:A3")
+            return Frame(tuple(
+                FrameTerm(Operator4.from_strings(t.base.to_strings()), t.side) for t in terms
+            ), "twin")  # type: ignore[arg-type]
+
+        a, b = build(), build()
+        assert a is not b and a.terms[1].base is not b.terms[1].base
+        assert a == b and hash(a) == hash(b)
+        expand(IDENTITY, a)
+        before = frames._frame_inverse.cache_info()
+        expand(IDENTITY, b)
+        after = frames._frame_inverse.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_singular_verdict_is_cached(self, monkeypatch):
+        frame = builtin_frame("SINGULAR_ATTEMPT")
+        with pytest.raises(SingularFrameError):
+            expand(IDENTITY, frame)
+        monkeypatch.setattr(frames, "family_rank", lambda terms: pytest.fail("rank recomputed"))
+        with pytest.raises(SingularFrameError) as exc:
+            expand(IDENTITY, frame)
+        assert (exc.value.report.rank, exc.value.report.nullity) == (12, 4)
+
+    @pytest.mark.parametrize("name", ["RIGHT_UNITS", "AUTO"])
+    def test_cached_frame_composes_no_operators(self, name, monkeypatch):
+        calls: list[str] = []
+
+        def counting(label, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(label)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        frame = builtin_frame(name)
+        f = rand_operator(random.Random(71))
+        expand(f, frame)  # fill the cache
+        monkeypatch.setattr(Operator4, "__matmul__", counting("compose", Operator4.__matmul__))
+        for module in (linop, frames):
+            for fn_name in ("left_mul_op", "right_mul_op"):
+                monkeypatch.setattr(module, fn_name, counting(fn_name, getattr(module, fn_name)))
+        assert reconstruct(expand(f, frame)) == f
+        assert calls == []
+        linop.left_mul_op(I) @ IDENTITY  # the counters are live
+        assert calls == ["left_mul_op", "compose"]

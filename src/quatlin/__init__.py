@@ -18,8 +18,8 @@ from .scalarq import (
     ONE,
     ZERO,
     Quaternion,
-    Rational,
     RationalFormatError,
+    RationalSizeError,
     ZeroQuaternionError,
     format_rational,
     parse_rational,
@@ -43,7 +43,6 @@ from .autos import (
     recover_conjugator,
     rot_i_op,
     rot_j_op,
-    rot_k_op,
 )
 from .frames import (
     BUILTIN_FRAME_NAMES,
@@ -87,8 +86,8 @@ __all__ = [
     "Operator4",
     "Quaternion",
     "RankReport",
-    "Rational",
     "RationalFormatError",
+    "RationalSizeError",
     "Side",
     "SingularFrameError",
     "ZERO",
@@ -117,5 +116,4 @@ __all__ = [
     "right_mul_op",
     "rot_i_op",
     "rot_j_op",
-    "rot_k_op",
 ]

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import elim
 from .linop import IDENTITY, Operator4, left_mul_op, right_mul_op
-from .scalarq import BASIS, BASIS_NAMES, ONE, I, J, K, Quaternion
+from .scalarq import BASIS, BASIS_NAMES, ONE, I, J, K, Quaternion, format_rational
 
 
 class AutoTag(Enum):
@@ -85,11 +85,6 @@ def rot_i_op() -> Operator4:
 def rot_j_op() -> Operator4:
     """Quarter turn about j: fixes 1 and j, sends k -> i, i -> -k."""
     return Operator4.from_unit_images(ONE, -K, J, I)
-
-
-def rot_k_op() -> Operator4:
-    """Quarter turn about k: fixes 1 and k, sends i -> j, j -> -i."""
-    return Operator4.from_unit_images(ONE, J, -I, K)
 
 
 def conj_op() -> Operator4:
@@ -221,7 +216,7 @@ def check_coordinate_conditions(f: Operator4) -> ConditionReport:
     for c in (1, 2, 3):
         if rows[0][c] != 0:
             return ConditionReport(
-                False, f"scalar row not preserved: entry (0, {c}) = {rows[0][c]}"
+                False, f"scalar row not preserved: entry (0, {c}) = {format_rational(rows[0][c])}"
             )
     block = [[rows[r][c] for c in (1, 2, 3)] for r in (1, 2, 3)]
     for r in range(3):
@@ -230,11 +225,11 @@ def check_coordinate_conditions(f: Operator4) -> ConditionReport:
             expected = Fraction(1 if r == c else 0)
             if dot != expected:
                 return ConditionReport(
-                    False, f"imaginary block not orthogonal: (Q^T Q)[{r}][{c}] = {dot}"
+                    False, f"imaginary block not orthogonal: (Q^T Q)[{r}][{c}] = {format_rational(dot)}"
                 )
     d = elim.det(block)
     if d != 1:
-        return ConditionReport(False, f"imaginary block determinant is {d}, not 1")
+        return ConditionReport(False, f"imaginary block determinant is {format_rational(d)}, not 1")
     return ConditionReport(True)
 
 
@@ -248,17 +243,15 @@ def recover_conjugator(f: Operator4) -> Quaternion:
 
     and its three column variants are each a rational multiple of the
     conjugator's coordinates. At least one of them is nonzero; candidates
-    are tried in that fixed order and the winner is verified entrywise by
-    rebuilding the conjugation operator before being returned. The result
-    is unnormalized and is determined only up to a nonzero rational scale.
+    are tried in that fixed order and the first whose conjugation operator
+    equals f entrywise is returned. That rebuild is the one verification:
+    a match proves f inner, so :func:`classify` runs only when no candidate
+    matches, to word the refusal. The result is unnormalized and is
+    determined only up to a nonzero rational scale.
 
     Raises:
         NotAnAutomorphismError: f is not a linear automorphism.
     """
-    kind = classify(f)
-    if kind.tag is not AutoTag.LINEAR:
-        detail = kind.reason or "map satisfies the reversed product law"
-        raise NotAnAutomorphismError(f"not a linear automorphism: {detail}")
     m = f.rows
     r = [[m[row][col] for col in (1, 2, 3)] for row in (1, 2, 3)]
     one = Fraction(1)
@@ -273,4 +266,8 @@ def recover_conjugator(f: Operator4) -> Quaternion:
             continue
         if conjugation_by(cand) == f:
             return cand
+    kind = classify(f)
+    if kind.tag is not AutoTag.LINEAR:
+        detail = kind.reason or "map satisfies the reversed product law"
+        raise NotAnAutomorphismError(f"not a linear automorphism: {detail}")
     raise RuntimeError("no trace candidate reproduces a verified linear automorphism")

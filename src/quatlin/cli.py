@@ -1,33 +1,39 @@
 """Command line front end.
 
 Matrices travel as small JSON documents, {"label": optional text,
-"matrix": [[four rational strings] x 4]}, and results come back either as
-stable JSON (QUATLIN_OUTPUT=json) or as a plain-text rendering of the same
-data (QUATLIN_OUTPUT=pretty, the default). Rationals are serialized as
-exact "p/q" strings everywhere; float views appear only behind --approx
-and are display-only. Output is deterministic byte for byte for a given
-input.
+"matrix": [[four rational strings] x 4]}. Each command handler returns a
+doc of exact values (quaternions, operators, rank reports and plain
+scalars), and _emit alone turns it into text: stable JSON
+(QUATLIN_OUTPUT=json) or a plain-text rendering of the same data
+(QUATLIN_OUTPUT=pretty, the default). Rationals are serialized as exact
+"p/q" strings everywhere; float views appear only behind --approx and are
+display-only. Output is deterministic byte for byte for a given input.
 
-Exit codes: 0 success, 2 input or parse problem, 3 singular frame on
-decompose (the rank report is still printed), 4 precondition failure
-(recover on a map that is not a linear automorphism).
+Exit codes: 0 success; 2 input or parse problem, a result with a numerator
+or denominator over MAX_LITERAL_DIGITS digits, or an --approx value outside
+the float range; 3 singular frame on decompose (the rank report is still
+printed); 4 precondition failure (recover on a map that is not a linear
+automorphism).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import autos, frames
 from .linop import MatrixFormatError, Operator4, decode_json, left_mul_op, operator_from_json, right_mul_op
-from .scalarq import Quaternion, RationalFormatError, parse_rational
+from .scalarq import Quaternion, RationalFormatError, RationalSizeError, parse_rational
 
 
 class InputError(Exception):
-    """Bad user input: unreadable file, malformed document, bad argument."""
+    """Bad user input: unreadable file, malformed document, bad argument,
+    or a value too large for its --approx float view."""
 
 
 def _load_document(path: str) -> tuple[Operator4, str | None]:
@@ -79,44 +85,25 @@ def _parse_quaternion_arg(text: str) -> Quaternion:
         raise InputError(str(exc)) from None
 
 
-def _quat_doc(q: Quaternion) -> list[str]:
-    return list(q.to_strings())
+@dataclass(frozen=True, slots=True)
+class _Approx:
+    """Exact values that render as their float views, the display-only --approx."""
 
-
-def _rank_report_doc(report: frames.RankReport) -> dict:
-    witness = report.defect_witness
-    return {
-        "terms": report.terms,
-        "unknowns": report.unknowns,
-        "rank": report.rank,
-        "nullity": report.nullity,
-        "defect_witness": None if witness is None else [_quat_doc(q) for q in witness],
-    }
+    value: Quaternion | tuple[Quaternion, ...]
 
 
 def cmd_decompose(args: argparse.Namespace) -> tuple[dict, int]:
     op, label = _load_document(args.file)
     frame = _resolve_frame(args.frame)
+    doc = {"command": "decompose", "label": label, "frame": frame.name}
     try:
         exp = frames.expand(op, frame)
     except frames.SingularFrameError as exc:
-        doc = {
-            "command": "decompose",
-            "label": label,
-            "frame": frame.name,
-            "error": "singular frame",
-            "rank_report": _rank_report_doc(exc.report),
-        }
+        doc.update(error="singular frame", rank_report=exc.report)
         return doc, 3
-    doc = {
-        "command": "decompose",
-        "label": label,
-        "frame": frame.name,
-        "coefficients": [_quat_doc(c) for c in exp.coefficients],
-        "verified": True,
-    }
+    doc.update(coefficients=exp.coefficients, verified=True)
     if args.approx:
-        doc["coefficients_approx"] = [list(c.approx()) for c in exp.coefficients]
+        doc["coefficients_approx"] = _Approx(exp.coefficients)
     return doc, 0
 
 
@@ -137,14 +124,9 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_recover(args: argparse.Namespace) -> tuple[dict, int]:
     op, label = _load_document(args.file)
     q = autos.recover_conjugator(op)
-    doc = {
-        "command": "recover",
-        "label": label,
-        "conjugator": _quat_doc(q),
-        "verified": True,
-    }
+    doc = {"command": "recover", "label": label, "conjugator": q, "verified": True}
     if args.approx:
-        doc["conjugator_approx"] = list(q.approx())
+        doc["conjugator_approx"] = _Approx(q)
     return doc, 0
 
 
@@ -152,12 +134,7 @@ def cmd_rank(args: argparse.Namespace) -> tuple[dict, int]:
     terms = _resolve_terms(args.spec)
     if not 1 <= len(terms) <= 8:
         raise InputError(f"rank spec needs 1 to 8 terms, got {len(terms)}")
-    report = frames.family_rank(terms)
-    doc = {
-        "command": "rank",
-        "spec": args.spec.strip(),
-        "report": _rank_report_doc(report),
-    }
+    doc = {"command": "rank", "spec": args.spec.strip(), "report": frames.family_rank(terms)}
     return doc, 0
 
 
@@ -166,15 +143,12 @@ def cmd_catalog(args: argparse.Namespace) -> tuple[dict, int]:
     for name in autos.CATALOG_NAMES:
         op = autos.catalog_operator(name)
         kind = autos.classify(op)
-        conjugator = None
-        if kind.tag is autos.AutoTag.LINEAR:
-            conjugator = _quat_doc(autos.recover_conjugator(op))
         entries.append({
             "name": name,
-            "matrix": op.to_strings(),
+            "matrix": op,
             "order": autos.operator_order(op),
             "classification": kind.tag.value,
-            "conjugator": conjugator,
+            "conjugator": autos.recover_conjugator(op) if kind.is_linear else None,
         })
     return {"command": "catalog", "entries": entries}, 0
 
@@ -200,36 +174,35 @@ def cmd_demo(args: argparse.Namespace) -> tuple[dict, int]:
             exp = frames.expand(op, frame)
             expansions.append({
                 "frame": frame_name,
-                "coefficients": [_quat_doc(c) for c in exp.coefficients],
+                "coefficients": exp.coefficients,
                 "vanishing_terms": [t for t, c in enumerate(exp.coefficients) if c.is_zero()],
                 "verified": True,
             })
-        case_docs.append({
-            "name": case_name,
-            "matrix": op.to_strings(),
-            "expansions": expansions,
-        })
+        case_docs.append({"name": case_name, "matrix": op, "expansions": expansions})
     singular = frames.builtin_frame("SINGULAR_ATTEMPT")
-    report = frames.family_rank(singular.terms)
     doc = {
         "command": "demo",
-        "a": _quat_doc(a),
+        "a": a,
         "cases": case_docs,
-        "singular_frame": {"name": singular.name, "report": _rank_report_doc(report)},
+        "singular_frame": {"name": singular.name, "report": frames.family_rank(singular.terms)},
         "note": _DEMO_NOTE,
     }
     return doc, 0
 
 
-def _pretty_quat(strings: list[str]) -> str:
-    return str(Quaternion.from_strings(strings))
+def _floats(q: Quaternion) -> list[float]:
+    try:
+        return list(q.approx())
+    except OverflowError:
+        raise InputError("a value is outside the float range of --approx") from None
 
 
-def _pretty_floats(values: list[float]) -> str:
-    return "(" + ", ".join(repr(v) for v in values) + ")"
+def _pretty_floats(q: Quaternion) -> str:
+    return "(" + ", ".join(repr(v) for v in _floats(q)) + ")"
 
 
-def _matrix_lines(rows: list[list[str]], indent: str) -> list[str]:
+def _matrix_lines(op: Operator4, indent: str) -> list[str]:
+    rows = op.to_strings()
     widths = [max(len(rows[r][c]) for r in range(4)) for c in range(4)]
     return [
         indent + "[ " + "  ".join(rows[r][c].rjust(widths[c]) for c in range(4)) + " ]"
@@ -237,19 +210,17 @@ def _matrix_lines(rows: list[list[str]], indent: str) -> list[str]:
     ]
 
 
-def _rank_report_lines(report: dict, indent: str) -> list[str]:
+def _rank_report_lines(report: frames.RankReport, indent: str) -> list[str]:
     lines = [
-        f"{indent}terms: {report['terms']} ({report['unknowns']} real unknowns)",
-        f"{indent}rank: {report['rank']}",
-        f"{indent}nullity: {report['nullity']}",
+        f"{indent}terms: {report.terms} ({report.unknowns} real unknowns)",
+        f"{indent}rank: {report.rank}",
+        f"{indent}nullity: {report.nullity}",
     ]
-    witness = report["defect_witness"]
-    if witness is None:
+    if report.defect_witness is None:
         lines.append(f"{indent}kernel witness: none")
     else:
         lines.append(f"{indent}kernel witness:")
-        for t, coeff in enumerate(witness):
-            lines.append(f"{indent}  a{t} = {_pretty_quat(coeff)}")
+        lines.extend(f"{indent}  a{t} = {coeff}" for t, coeff in enumerate(report.defect_witness))
     return lines
 
 
@@ -265,8 +236,8 @@ def _pretty_decompose(doc: dict) -> list[str]:
         lines.append(f"label: {doc['label']}")
     approx = doc.get("coefficients_approx")
     for t, coeff in enumerate(doc["coefficients"]):
-        suffix = f"  ~ {_pretty_floats(approx[t])}" if approx is not None else ""
-        lines.append(f"  a{t} = {_pretty_quat(coeff)}{suffix}")
+        suffix = f"  ~ {_pretty_floats(approx.value[t])}" if approx is not None else ""
+        lines.append(f"  a{t} = {coeff}{suffix}")
     lines.append(f"verified: {'yes' if doc['verified'] else 'no'}")
     return lines
 
@@ -286,11 +257,11 @@ def _pretty_check(doc: dict) -> list[str]:
 
 
 def _pretty_recover(doc: dict) -> list[str]:
-    lines = [f"recover: q = {_pretty_quat(doc['conjugator'])}"]
+    lines = [f"recover: q = {doc['conjugator']}"]
     if doc["label"] is not None:
         lines.append(f"label: {doc['label']}")
     if "conjugator_approx" in doc:
-        lines.append(f"approx: {_pretty_floats(doc['conjugator_approx'])}")
+        lines.append(f"approx: {_pretty_floats(doc['conjugator_approx'].value)}")
     lines.append(f"verified: {'yes' if doc['verified'] else 'no'}")
     return lines
 
@@ -306,21 +277,19 @@ def _pretty_catalog(doc: dict) -> list[str]:
         lines.append(f"{entry['name']}: {entry['classification']}, order {entry['order']}")
         lines.extend(_matrix_lines(entry["matrix"], "  "))
         if entry["conjugator"] is not None:
-            lines.append(f"  conjugator: {_pretty_quat(entry['conjugator'])}")
+            lines.append(f"  conjugator: {entry['conjugator']}")
     return lines
 
 
 def _pretty_demo(doc: dict) -> list[str]:
-    lines = [f"demo: a = {_pretty_quat(doc['a'])}"]
+    lines = [f"demo: a = {doc['a']}"]
     for case in doc["cases"]:
         lines.append("")
         lines.append(f"case {case['name']}")
         lines.append("  matrix:")
         lines.extend(_matrix_lines(case["matrix"], "    "))
         for exp in case["expansions"]:
-            coeffs = ", ".join(
-                f"a{t} = {_pretty_quat(c)}" for t, c in enumerate(exp["coefficients"])
-            )
+            coeffs = ", ".join(f"a{t} = {c}" for t, c in enumerate(exp["coefficients"]))
             lines.append(f"  frame {exp['frame']}: {coeffs}")
             vanishing = ", ".join(f"a{t}" for t in exp["vanishing_terms"]) or "none"
             verified = "yes" if exp["verified"] else "no"
@@ -368,12 +337,37 @@ def _dumps_compact(value: object, indent: int = 0) -> str:
     return json.dumps(value)
 
 
+def _wire(value: object, approx: bool = False) -> object:
+    """JSON form of a doc value: exact values as "p/q" strings, _Approx ones as floats."""
+    if isinstance(value, Quaternion):
+        return _floats(value) if approx else list(value.to_strings())
+    if isinstance(value, Operator4):
+        return value.to_strings()
+    if isinstance(value, frames.RankReport):
+        return {"terms": value.terms, "unknowns": value.unknowns, "rank": value.rank,
+                "nullity": value.nullity, "defect_witness": _wire(value.defect_witness)}
+    if isinstance(value, _Approx):
+        return _wire(value.value, approx=True)
+    if isinstance(value, dict):
+        return {k: _wire(v, approx) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_wire(v, approx) for v in value]
+    return value
+
+
 def _emit(doc: dict, mode: str) -> str:
+    """Render a handler's doc of exact values: the one place they become text.
+
+    Raises:
+        RationalSizeError: a rational over the digit cap.
+        InputError: a --approx view outside the float range.
+    """
     if mode == "json":
-        return _dumps_compact(doc) + "\n"
+        return _dumps_compact(_wire(doc)) + "\n"
     return "\n".join(_PRETTY_RENDERERS[doc["command"]](doc)) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatlin",
@@ -422,13 +416,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         doc, code = args.handler(args)
-    except InputError as exc:
+        text = _emit(doc, mode)
+    except (InputError, RationalSizeError) as exc:
         print(f"quatlin: {exc}", file=sys.stderr)
         return 2
     except autos.NotAnAutomorphismError as exc:
         print(f"quatlin: {exc}", file=sys.stderr)
         return 4
-    sys.stdout.write(_emit(doc, mode))
+    sys.stdout.write(text)
     return code
 
 

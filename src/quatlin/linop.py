@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import elim
-from .scalarq import BASIS, Quaternion, RationalFormatError, _coerce, format_rational, parse_rational
+from .scalarq import Quaternion, RationalFormatError, _coerce, format_rational, parse_rational
 
 Row = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -52,11 +52,6 @@ class Operator4:
         """Operator sending e_t to img_t; the images become the columns."""
         cols = (img0.coords(), img1.coords(), img2.coords(), img3.coords())
         return cls(tuple(tuple(cols[c][r] for c in range(4)) for r in range(4)))  # type: ignore[arg-type]
-
-    @classmethod
-    def from_mapping(cls, func) -> Operator4:
-        """Sample a callable Quaternion -> Quaternion on the four units."""
-        return cls.from_unit_images(*(func(e) for e in BASIS))
 
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]]) -> Operator4:
@@ -121,9 +116,6 @@ class Operator4:
 
     def det(self) -> Fraction:
         return elim.det(self.rows)
-
-    def is_invertible(self) -> bool:
-        return self.det() != 0
 
     def approx(self) -> list[list[float]]:
         """Float view for display only."""

@@ -19,20 +19,23 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 # Longest numerator or denominator accepted, in digits: CPython's default
 # int_max_str_digits, so every literal that int() converts out of the box is
 # read, and a longer one gets an error that names this cap.
 MAX_LITERAL_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_LITERAL_DIGITS
 
 _UNIT_SYMBOLS = ("", "i", "j", "k")
 
 
 class RationalFormatError(ValueError):
     """Text does not match the ``p`` / ``p/q`` wire form."""
+
+
+class RationalSizeError(ValueError):
+    """A rational to be printed has a numerator or denominator over the digit cap."""
 
 
 class ZeroQuaternionError(ZeroDivisionError):
@@ -61,7 +64,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Wire form of a fraction: ``p/q``, or just ``p`` when q is 1."""
+    """Wire form of a fraction: ``p/q``, or just ``p`` when q is 1.
+
+    Every rational this package prints passes through here, so the cap that
+    parse_rational puts on input also bounds output.
+
+    Raises:
+        RationalSizeError: the numerator or denominator has more than
+            ``MAX_LITERAL_DIGITS`` digits.
+    """
+    if abs(value.numerator) >= _DIGIT_BOUND or value.denominator >= _DIGIT_BOUND:
+        raise RationalSizeError(f"rational result over the cap of {MAX_LITERAL_DIGITS} digits")
     return str(value)
 
 

@@ -34,7 +34,6 @@ from quatlin import (
     recover_conjugator,
     rot_i_op,
     rot_j_op,
-    rot_k_op,
 )
 
 from conftest import collinear, rand_fraction, rand_nonzero_quaternion
@@ -70,11 +69,6 @@ class TestCatalogMatrices:
         assert op_rows(rot_j_op()) == ((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0))
         assert rot_j_op()(K) == I
         assert rot_j_op()(I) == -K
-
-    def test_rot_k(self):
-        assert rot_k_op()(I) == J
-        assert rot_k_op()(J) == -I
-        assert rot_k_op()(K) == K
 
     def test_conj(self):
         assert op_rows(conj_op()) == ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
@@ -124,7 +118,7 @@ class TestConjugationBy:
         assert cyclic_sq_op() == conjugation_by(Quaternion(1, -1, -1, -1))
         assert rot_i_op() == conjugation_by(Quaternion(1, 1, 0, 0))
         assert rot_j_op() == conjugation_by(Quaternion(1, 0, 1, 0))
-        assert rot_k_op() == conjugation_by(Quaternion(1, 0, 0, 1))
+        assert Operator4.from_unit_images(ONE, J, -I, K) == conjugation_by(Quaternion(1, 0, 0, 1))
 
     def test_worked_matrix(self):
         f = conjugation_by(Quaternion(2, 3, 5, 7))

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from quatlin import cli
+from quatlin import autos, cli, frames, linop, scalarq
 from quatlin.scalarq import MAX_LITERAL_DIGITS
 
 from golden_cases import CASES, FIXTURES_DIR, MODES, argv_for, golden_path
@@ -166,6 +168,109 @@ class TestInputErrors:
     def test_unknown_command_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("QUATLIN_OUTPUT", "json")
         assert cli.main(["frobnicate"]) == 2
+
+
+def _literal(rng: random.Random, digits: int) -> str:
+    """A p/q literal whose numerator and denominator have the given digit count."""
+    low, high = 10 ** (digits - 1), 10**digits
+    return f"{rng.randrange(low, high)}/{rng.randrange(low, high)}"
+
+
+def _refusal_cases(tmp_path):
+    """argv of each output-side refusal: name -> (argv, stderr fragment)."""
+    rng = random.Random(23)
+    dense = {"matrix": [[_literal(rng, 1000) for _ in range(4)] for _ in range(4)]}
+    unital = {"matrix": [["1", 0, 0, 0]] + [[0] + [_literal(rng, 3000) for _ in range(3)] for _ in range(3)]}
+    diagonal = {"matrix": [[rng.randrange(10**399, 10**400) if r == c else 0 for c in range(4)] for r in range(4)]}
+    for name, doc in (("dense", dense), ("unital", unital), ("diagonal", diagonal)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    cap = str(MAX_LITERAL_DIGITS)
+    return {
+        "decompose-huge-coefficients": (["decompose", "--frame", "AUTO", str(tmp_path / "dense.json")], cap),
+        "demo-huge-a": (["demo", "--a", ",".join(_literal(rng, 1100) for _ in range(4))], cap),
+        "check-huge-failure-message": (["check", str(tmp_path / "unital.json")], cap),
+        "approx-out-of-float-range": (
+            ["decompose", "--approx", "--frame", "AUTO", str(tmp_path / "diagonal.json")], "--approx"),
+    }
+
+
+class TestOutputLimits:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", ["decompose-huge-coefficients", "demo-huge-a",
+                                      "check-huge-failure-message", "approx-out-of-float-range"])
+    def test_refused_at_render(self, case, mode, tmp_path, capsys, monkeypatch):
+        argv, fragment = _refusal_cases(tmp_path)[case]
+        code, out, err = run_cli(argv, mode, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("quatlin: ") and err.endswith("\n") and err.count("\n") == 1
+        assert fragment in err
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exact_view_of_approx_overflow_prints(self, mode, tmp_path, capsys, monkeypatch):
+        argv, _ = _refusal_cases(tmp_path)["approx-out-of-float-range"]
+        argv = [part for part in argv if part != "--approx"]
+        code, out, err = run_cli(argv, mode, capsys, monkeypatch)
+        assert code == 0, err
+        assert out
+
+
+# Verifying calls per golden command: one per printed result.
+LEDGER = {
+    "decompose": {"expand": 1},
+    "demo": {"expand": 6, "family_rank": 1},
+    "rank": {"family_rank": 1},
+    "check": {"classify": 1},
+    "recover": {"conjugation_by": 1},
+    "catalog": {"classify": 7, "conjugation_by": 4},
+}
+
+
+def test_verification_ledger(capsys, monkeypatch):
+    counts = Counter()
+    for module, name in ((autos, "classify"), (autos, "conjugation_by"), (frames, "expand"), (frames, "family_rank")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    for name, template, expected_code in CASES:
+        frames._frame_inverse.cache_clear()
+        counts.clear()
+        code, _, _ = run_cli(argv_for(template), "json", capsys, monkeypatch)
+        assert code == expected_code
+        expected = LEDGER[template[0]]
+        if name == "decompose_singular":
+            # expand raises at once; the printed rank report is the one family_rank.
+            expected = {"expand": 1, "family_rank": 1}
+        assert dict(counts) == expected, name
+
+
+def test_emit_parses_no_rationals(capsys, monkeypatch):
+    inside, emitted, parsed = [False], [], []
+    original_parse, original_emit = scalarq.parse_rational, cli._emit
+
+    def parse(text):
+        if inside[0]:
+            parsed.append(text)
+        return original_parse(text)
+
+    def emit(doc, mode):
+        emitted.append(mode)
+        inside[0] = True
+        try:
+            return original_emit(doc, mode)
+        finally:
+            inside[0] = False
+
+    for module in (scalarq, linop, cli):
+        if getattr(module, "parse_rational", None) is original_parse:
+            monkeypatch.setattr(module, "parse_rational", parse)
+    monkeypatch.setattr(cli, "_emit", emit)
+    for mode in MODES:
+        for _, template, _ in CASES:
+            run_cli(argv_for(template), mode, capsys, monkeypatch)
+    assert len(emitted) == 2 * len(CASES)
+    assert parsed == []
 
 
 class TestPreconditionExit:

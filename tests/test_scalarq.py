@@ -17,6 +17,7 @@ from quatlin import (
     ZERO,
     Quaternion,
     RationalFormatError,
+    RationalSizeError,
     ZeroQuaternionError,
     format_rational,
     parse_rational,
@@ -68,6 +69,13 @@ class TestParseRational:
     def test_format_is_canonical(self):
         assert format_rational(Fraction(4, 2)) == "2"
         assert format_rational(Fraction(-1, 3)) == "-1/3"
+
+    def test_format_caps_digits(self):
+        assert format_rational(Fraction(1 - 10**4300)) == "-" + "9" * 4300
+        assert format_rational(Fraction(1, 10**4300 - 1)) == "1/" + "9" * 4300
+        for value in (Fraction(10**4300), Fraction(-(10**4300), 7), Fraction(1, 10**4300)):
+            with pytest.raises(RationalSizeError, match="4300"):
+                format_rational(value)
 
 
 class TestConstruction:
